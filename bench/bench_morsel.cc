@@ -7,10 +7,10 @@
 //     CI scale factors the interpreter wins the race outright, so the gap
 //     is really interp-exec vs cc-invocation — orders of magnitude.
 //
-//   work stealing — the same 8-thread artifact run off the shared
-//     dispenser must beat its static per-thread split by >= 1.5x on a
-//     skew table whose selected (expensive) rows all land in one thread's
-//     static range. Only meaningful with >= 4 hardware threads; the CI
+//   work stealing — the same 8-thread artifact run off a 4096-row
+//     dispenser must beat its plain Run() (a private dispenser of one
+//     morsel per thread: the static split) by >= 1.5x on a skew table
+//     whose selected (expensive) rows all land in one thread's morsel. Only meaningful with >= 4 hardware threads; the CI
 //     gate is vacuous below that (the JSON carries hardware_concurrency
 //     so the gate can tell).
 //

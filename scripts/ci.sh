@@ -61,7 +61,8 @@
 #                            #   with the mid-query switch >= 1.2x the
 #                            #   wait-for-cc cold path; work stealing
 #                            #   >= 1.5x static split when the machine has
-#                            #   >= 4 hardware threads)
+#                            #   >= 4 hardware threads), then prints
+#                            #   bench_table1_loc and `wc -l` over src/
 #
 # The tsan lane exists because the service runs compiled queries with NO
 # per-entry lock: generated entries are reentrant (per-call lb2_exec_ctx),
@@ -165,8 +166,10 @@ tracing() {
 # morsels, the fresh compiled artifact claims the suffix, and every morsel
 # is claimed exactly once. morsel_test forces the switch at every boundary
 # (LB2_SWITCH_AT sweep) against the Volcano and pure-interpreted oracles,
-# chaos-schedules the handoff point across 64 seeds, and stresses work
-# stealing on skewed morsel costs; the fuzz label rides along because the
+# chaos-schedules the handoff point across 64 seeds, stresses work
+# stealing on skewed morsel costs, and diffs all 22 TPC-H queries served
+# through QueryService::Execute (cold, cached; 1 and 4 threads) against
+# Volcano; the fuzz label rides along because the
 # property suite exercises the same engines the dispenser interleaves.
 morsel() {
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DLB2_SANITIZE=thread \
@@ -343,6 +346,15 @@ EOF
   bench_flavors
   bench_morsel
   obs_overhead
+  loc
+}
+
+# Line counts on record: the paper's Table 1 breakdown plus the raw total
+# over src/, so a change that deletes code shows its delta in the log.
+loc() {
+  cmake --build build -j"$(nproc)" --target bench_table1_loc
+  LB2_REPO_ROOT="$PWD" ./build/bench/bench_table1_loc
+  find src -name '*.h' -o -name '*.cc' | sort | xargs wc -l | tail -n 1
 }
 
 # Morsel perf gate: a cold request with the mid-query switch on (interp

@@ -26,7 +26,10 @@ CompiledQuery::RunResult CompiledQuery::Run(
   auto* hdr = reinterpret_cast<stage::ExecCtxHeader*>(ctx_buf.data());
   hdr->env = const_cast<void**>(env_.data());
   hdr->out = &out;
-  hdr->morsels = morsels;
+  // The generated spine always claims from a dispenser: without a caller's,
+  // a private fresh one (morsel_rows 0 = one morsel per thread).
+  stage::MorselSource own;
+  hdr->morsels = morsels != nullptr ? morsels : &own;
   // Parameter binding: the module's lb2_param_count export says how many
   // slots its generated code reads, and the bound vector must cover all of
   // them — a short vector would mean reads of unbound slots. (The vector

@@ -71,12 +71,12 @@ class CompiledQuery {
   RunResult Run(const plan::ParamVec* params = nullptr) const;
 
   /// Morsel-driven run: binds the shared dispenser into the execution
-  /// context header, so the generated pipeline claims row ranges from
-  /// `morsels` instead of its static split — and folds any seed rows an
-  /// interpreted prefix exported into its sink before claiming (the
-  /// mid-query switch; see engine/morsel.h). The dispenser's cursor is
-  /// consumed where it stands: it is never reset here. Null behaves exactly
-  /// like the plain Run().
+  /// context header, so the generated spine claims row ranges from
+  /// `morsels` — and folds any seed rows an interpreted prefix exported into
+  /// its sink before claiming (the mid-query switch; see engine/morsel.h).
+  /// The dispenser's cursor is consumed where it stands: it is never reset
+  /// here. Null (and the plain Run()) binds a private fresh dispenser with
+  /// morsel_rows 0, one morsel per thread.
   RunResult Run(const plan::ParamVec* params,
                 stage::MorselSource* morsels) const;
 

@@ -853,7 +853,10 @@ class TemplateGen {
     SlotMap cm(cs);
     std::string acc = Fresh("acc");
     decls_ += "  lb2t_val " + acc + "[" + std::to_string(m.width) + "];\n";
-    std::string c;
+    // Row count: MIN/MAX over an empty input answer 0, like Volcano.
+    std::string rows = Fresh("rows");
+    decls_ += "  int64_t " + rows + ";\n";
+    std::string c = "  " + rows + " = 0;\n";
     for (size_t a = 0; a < p->aggs.size(); ++a) {
       FieldKind k = out.field(static_cast<int>(a)).kind;
       std::string base =
@@ -868,7 +871,7 @@ class TemplateGen {
            sentinel + ";\n";
     }
     c += GenOp(p->children[0], [&](const std::string& row) {
-      std::string body;
+      std::string body = "  " + rows + "++;\n";
       for (size_t a = 0; a < p->aggs.size(); ++a) {
         const auto& spec = p->aggs[a];
         FieldKind k = out.field(static_cast<int>(a)).kind;
@@ -892,6 +895,14 @@ class TemplateGen {
       }
       return body;
     });
+    for (size_t a = 0; a < p->aggs.size(); ++a) {
+      if (p->aggs[a].kind == AggKind::kMin ||
+          p->aggs[a].kind == AggKind::kMax) {
+        bool f64 = out.field(static_cast<int>(a)).kind == FieldKind::kDouble;
+        c += "  if (" + rows + " == 0) " + acc + "[" +
+             std::to_string(m.slot[a]) + (f64 ? "].d = 0;\n" : "].i = 0;\n");
+      }
+    }
     c += consume(acc);
     return c;
   }

@@ -9,13 +9,14 @@ InterpResult ExecuteInterp(const plan::Query& q, const rt::Database& db,
                            const EngineOptions& opts,
                            const plan::ParamVec* params, MorselRun* morsels) {
   plan::ValidateQuery(q, db);
+  MorselRun own;  // morsel_rows 0: one morsel per thread
+  if (morsels == nullptr) morsels = &own;
   InterpBackend b(&db);
   b.set_params(params);
   b.set_morsels(morsels);
   QueryCtx<InterpBackend> qctx;
   qctx.b = &b;
   qctx.db = &db;
-  qctx.morsels = morsels;
   qctx.copts.use_dict = opts.use_dict;
   InterpResult r;
   if (opts.profile) qctx.prof = &r.prof_nodes;

@@ -58,8 +58,14 @@ OpPtr<B> BuildOpNode(QueryCtx<B>* ctx, const plan::PlanRef& p) {
   const rt::Database& db = *ctx->db;
   schema::Schema out = plan::OutputSchema(p, db);
 
-  // Dictionary propagation for this node's output.
-  auto child_op = [&](int i) { return BuildOp<B>(ctx, p->children[i]); };
+  // Spine membership is positional (engine/parallel.h): this occurrence is
+  // on the spine only if its parent was and it is the parent's SpineChild.
+  const bool spine = ctx->spine;
+  ctx->spine = false;
+  auto child_op = [&](int i) {
+    ctx->spine = spine && i == SpineChild(*p);
+    return BuildOp<B>(ctx, p->children[i]);
+  };
 
   switch (p->type) {
     case OpType::kScan: {
@@ -70,7 +76,7 @@ OpPtr<B> BuildOpNode(QueryCtx<B>* ctx, const plan::PlanRef& p) {
         dicts.push_back(ctx->copts.use_dict && c.has_dict() ? c.dict()
                                                             : nullptr);
       }
-      return std::make_unique<ScanOp<B>>(ctx, *p, out, dicts);
+      return std::make_unique<ScanOp<B>>(ctx, *p, out, dicts, spine);
     }
     case OpType::kSelect: {
       // A Select atop a Select chain ending in a plain scan is a potential
@@ -95,7 +101,7 @@ OpPtr<B> BuildOpNode(QueryCtx<B>* ctx, const plan::PlanRef& p) {
                                                                    : nullptr);
             }
             return std::make_unique<VecScanFilterOp<B>>(
-                ctx, sschema, sdicts, std::move(site));
+                ctx, sschema, sdicts, std::move(site), spine);
           }
         }
       }
@@ -163,10 +169,11 @@ OpPtr<B> BuildOpNode(QueryCtx<B>* ctx, const plan::PlanRef& p) {
       for (size_t i = 0; i < p->aggs.size(); ++i) dicts.push_back(nullptr);
       int64_t capacity = plan::RowBound(p, db);
       return std::make_unique<GroupAggOp<B>>(ctx, *p, std::move(child), out,
-                                             dicts, capacity);
+                                             dicts, capacity, spine);
     }
     case OpType::kScalarAgg:
-      return std::make_unique<ScalarAggOp<B>>(ctx, *p, child_op(0), out);
+      return std::make_unique<ScalarAggOp<B>>(ctx, *p, child_op(0), out,
+                                              spine);
     case OpType::kSort: {
       int64_t bound = plan::RowBound(p->children[0], db);
       return std::make_unique<SortOp<B>>(ctx, *p, child_op(0), bound);
@@ -273,26 +280,15 @@ void DriveQuery(B& b, QueryCtx<B>& qctx, const plan::Query& q,
   qctx.flavor = opts.flavor;
   qctx.blend = opts.blend;
   // Profiling slots are plain `+=` updates shared by all lanes, so a
-  // profiled run stays sequential (documented on EngineOptions::profile).
-  if (opts.num_threads > 1 && !opts.profile) {
-    qctx.num_threads = opts.num_threads;
-    AnalyzeParallel(q.root, &qctx.par_nodes);
-  }
-  // Morsel marking is deliberately thread-count independent: generated code
-  // guards on a runtime null check of the dispenser pointer, so one artifact
-  // serves static-split runs (null), work-stealing runs, and the sequential
-  // compiled suffix of a mid-query switch. Profiled builds opt out — their
-  // counters are not lane-aware and profiling already keys a distinct
-  // fingerprint.
-  if (!opts.profile) AnalyzeMorsel(q, &qctx.morsel_nodes);
+  // profiled build has no spine and runs sequentially (documented on
+  // EngineOptions::profile); profiling already keys a distinct fingerprint.
+  qctx.num_threads = opts.num_threads > 1 ? opts.num_threads : 1;
   if (!q.scalar_subqueries.empty()) {
     qctx.scalars.arr = b.template AllocArr<double>(
         typename B::I64(static_cast<int64_t>(q.scalar_subqueries.size())));
   }
-  // Scalar subqueries run sequentially — they may share plan nodes with the
-  // (marked) main spine, and their sinks are not lane-aware.
-  int main_threads = qctx.num_threads;
-  qctx.num_threads = 1;
+  // Scalar subqueries are off the spine: they run sequentially over their
+  // full ranges, whatever plan nodes they share with the main pipeline.
   for (size_t i = 0; i < q.scalar_subqueries.size(); ++i) {
     auto op = BuildOp<B>(&qctx, q.scalar_subqueries[i]);
     auto dl = op->Prepare();
@@ -301,7 +297,7 @@ void DriveQuery(B& b, QueryCtx<B>& qctx, const plan::Query& q,
                AsF64(b, rec.value(0)));
     });
   }
-  qctx.num_threads = main_threads;
+  qctx.spine = !opts.profile && HasSpine(q.root);
   auto root = BuildOp<B>(&qctx, q.root);
   RunWithAllocationPolicy(
       b, opts.hoist_alloc, [&] { return root->Prepare(); },
@@ -328,11 +324,10 @@ struct InterpResult {
 /// (Expr::param_slot >= 0); when null, marked leaves fall back to their
 /// original in-plan literals, so the same call serves both the plain path
 /// and the parameterized-oracle path of the differential tests.
-/// `morsels` optionally makes the run morsel-driven: the pipeline claims
-/// row ranges from the shared dispenser and, if morsels->stop_poll fires,
-/// stops at a morsel boundary with partial aggregate state exported into
-/// morsels->seed (see engine/morsel.h). Null preserves the classic static
-/// full-range execution.
+/// `morsels` is the shared dispenser the spine claims row ranges from; if
+/// morsels->stop_poll fires, the run stops at a morsel boundary with
+/// partial aggregate state exported into morsels->seed (see
+/// engine/morsel.h). Null binds a private one-morsel-per-thread dispenser.
 InterpResult ExecuteInterp(const plan::Query& q, const rt::Database& db,
                            const EngineOptions& opts = {},
                            const plan::ParamVec* params = nullptr,

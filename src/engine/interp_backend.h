@@ -94,27 +94,24 @@ class InterpBackend {
   }
 
   // -- Morsel dispatch (ROADMAP item 5) --------------------------------------
-  /// Binds the morsel run for this execution; null (the default) keeps the
-  /// pre-morsel static range split.
+  /// Binds the dispenser this run's spine claims from (ExecuteInterp always
+  /// binds one); a stopped spine sink exports its seed rows into it.
   void set_morsels(MorselRun* run) { morsels_ = run; }
   MorselRun* morsels() const { return morsels_; }
 
-  /// Drives `body(mlo, mhi)` over [lo, hi). With a bound dispenser, claims
-  /// fixed-size morsels from the shared atomic cursor until the range is
-  /// exhausted or stop_poll fires at a boundary (setting `stopped` so the
-  /// sink exports seed state instead of results); without one, falls back
-  /// to the static per-thread split. The cursor is never reset, so a
-  /// compiled suffix handed the same dispenser resumes exactly where this
-  /// prefix stopped.
+  /// The claim loop: drives `body(mlo, mhi)` over [lo, hi) by claiming
+  /// morsels from the shared atomic cursor until the range is exhausted or
+  /// stop_poll fires at a boundary (setting `stopped` so the sink exports
+  /// seed state instead of results). morsel_rows <= 0 means one morsel per
+  /// thread, ⌈n/n_threads⌉ rows. The cursor is never reset, so a compiled
+  /// suffix handed the same dispenser resumes exactly where this prefix
+  /// stopped.
   template <typename F>
-  void MorselLoop(I64 lo, I64 hi, I64 tid, int n_threads, F body) {
+  void MorselLoop(I64 lo, I64 hi, int n_threads, F body) {
     MorselRun* run = morsels_;
-    if (run == nullptr || run->source.morsel_rows <= 0) {
-      I64 n = hi - lo;
-      body(lo + tid * n / n_threads, lo + (tid + 1) * n / n_threads);
-      return;
-    }
-    const I64 mr = run->source.morsel_rows;
+    const I64 mr = run->source.morsel_rows > 0
+                       ? run->source.morsel_rows
+                       : (hi - lo + n_threads - 1) / n_threads;
     for (;;) {
       if (run->stop_poll && run->stop_poll()) {
         run->stopped = true;

@@ -18,7 +18,6 @@
 
 #include <functional>
 #include <memory>
-#include <set>
 
 #include "engine/expr_eval.h"
 #include "engine/hashmap.h"
@@ -39,10 +38,13 @@ struct QueryCtx {
   ScalarEnv<B> scalars;
   /// Join build-side materialization layout (paper §4.1 ablation).
   BufferLayout join_layout = BufferLayout::kRow;
-  /// Parallel execution (paper §4.5): nodes on the marked spine partition
-  /// work across this many threads.
+  /// Parallel execution (paper §4.5): the spine's claim loop runs on this
+  /// many threads (engine/parallel.h).
   int num_threads = 1;
-  std::set<const plan::PlanNode*> par_nodes;
+  /// True while BuildOp builds an occurrence on the root's spine: set for
+  /// a child only when its parent is on the spine and it is the parent's
+  /// SpineChild, so membership is positional, never keyed by plan node.
+  bool spine = false;
   /// Non-null when profiling: BuildOp records one ProfOpMeta per operator
   /// (pre-order; the vector index is the operator's counter slot) and wraps
   /// its data loop with counter updates. See engine/profile.h.
@@ -57,20 +59,6 @@ struct QueryCtx {
   uint64_t blend = 0;
   int vec_sites = 0;
   bool vec_suppress = false;
-  /// Morsel-driven execution (ROADMAP item 5): nodes on the marked spine
-  /// pull row ranges from the shared dispenser instead of a static split.
-  /// `morsels` is bound only for interpreted runs (the compiled build reads
-  /// the dispenser through its lb2_exec_ctx header instead); null keeps the
-  /// classic behavior.
-  std::set<const plan::PlanNode*> morsel_nodes;
-  MorselRun* morsels = nullptr;
-
-  bool IsPar(const plan::PlanNode* n) const {
-    return num_threads > 1 && par_nodes.count(n) > 0;
-  }
-  bool IsMorsel(const plan::PlanNode* n) const {
-    return morsel_nodes.count(n) > 0;
-  }
 };
 
 template <typename B>
@@ -163,12 +151,34 @@ class TableReader {
   std::vector<typename B::ColAcc> accs_;
 };
 
+/// Drives a spine's source: every worker — the one sequential thread, or
+/// each of a pthread region's ctx->num_threads — recomputes `span()` (worker
+/// functions cannot see entry locals) and claims morsels of it from the
+/// shared dispenser, running `body(mlo, mhi, tid)` on each.
+template <typename B, typename S, typename F>
+void ClaimMorsels(QueryCtx<B>* ctx, S span, F body) {
+  B& b = *ctx->b;
+  using I64 = typename B::I64;
+  const int nt = ctx->num_threads;
+  auto worker = [&](I64 tid) {
+    auto [lo, hi] = span();
+    b.MorselLoop(lo, hi, nt, [&](I64 mlo, I64 mhi) { body(mlo, mhi, tid); });
+  };
+  if (nt > 1) {
+    b.ParallelRegion(nt, worker);
+  } else {
+    worker(I64(0));
+  }
+}
+
 template <typename B>
 class ScanOp final : public Op<B> {
  public:
   ScanOp(QueryCtx<B>* ctx, const plan::PlanNode& n, schema::Schema schema,
-         DictVec dicts)
-      : Op<B>(ctx, std::move(schema), std::move(dicts)), node_(&n) {}
+         DictVec dicts, bool spine)
+      : Op<B>(ctx, std::move(schema), std::move(dicts)),
+        node_(&n),
+        spine_(spine) {}
 
   typename Op<B>::DataLoop Prepare() override {
     B& b = *this->ctx_->b;
@@ -178,10 +188,7 @@ class ScanOp final : public Op<B> {
     if (use_date_index) {
       date_acc_ = b.DateIdx(node_->table, node_->date_index_col);
     }
-    bool par = this->ctx_->IsPar(node_);
-    bool morsel = this->ctx_->IsMorsel(node_);
-    return [this, use_date_index, par,
-            morsel](const typename Op<B>::Callback& cb) {
+    return [this, use_date_index](const typename Op<B>::Callback& cb) {
       B& b = *this->ctx_->b;
       using I64 = typename B::I64;
       // Emits the scan loop over [lo, hi) of either row ids or date-index
@@ -195,8 +202,6 @@ class ScanOp final : public Op<B> {
           b.For(lo, hi, [&](I64 i) { cb(reader_.RecordAt(b, i)); });
         }
       };
-      // The span is (re)computed wherever it is needed: inside the worker
-      // for parallel scans (worker functions cannot see entry locals).
       auto span_of = [&]() -> std::pair<I64, I64> {
         if (use_date_index) {
           // §4.3 date indexing: iterate only buckets intersecting the
@@ -205,24 +210,9 @@ class ScanOp final : public Op<B> {
         }
         return {I64(0), b.TableRows(node_->table)};
       };
-      if (par) {
-        int nt = this->ctx_->num_threads;
-        b.ParallelRegion(nt, [&](I64 tid) {
-          auto [lo, hi] = span_of();
-          if (morsel) {
-            b.MorselLoop(lo, hi, tid, nt, span_loop);
-          } else {
-            I64 n = hi - lo;
-            I64 t_lo = lo + (tid * n) / I64(nt);
-            I64 t_hi = lo + ((tid + I64(1)) * n) / I64(nt);
-            span_loop(t_lo, t_hi);
-          }
-        });
-      } else if (morsel) {
-        // A sequential morsel scan still pulls from the dispenser: this is
-        // how an interpreted prefix and a compiled suffix split one range.
-        auto [lo, hi] = span_of();
-        b.MorselLoop(lo, hi, I64(0), 1, span_loop);
+      if (spine_) {
+        ClaimMorsels(this->ctx_, span_of,
+                     [&](I64 mlo, I64 mhi, I64) { span_loop(mlo, mhi); });
       } else {
         auto [lo, hi] = span_of();
         span_loop(lo, hi);
@@ -232,6 +222,7 @@ class ScanOp final : public Op<B> {
 
  private:
   const plan::PlanNode* node_;
+  bool spine_;
   TableReader<B> reader_;
   typename B::DateAcc date_acc_{};
 };
@@ -692,11 +683,13 @@ template <typename B>
 class GroupAggOp final : public Op<B> {
  public:
   GroupAggOp(QueryCtx<B>* ctx, const plan::PlanNode& n, OpPtr<B> child,
-             schema::Schema schema, DictVec dicts, int64_t capacity)
+             schema::Schema schema, DictVec dicts, int64_t capacity,
+             bool spine)
       : Op<B>(ctx, std::move(schema), std::move(dicts)),
         node_(&n),
         child_(std::move(child)),
-        capacity_(capacity) {}
+        capacity_(capacity),
+        spine_(spine) {}
 
   typename Op<B>::DataLoop Prepare() override {
     B& b = *this->ctx_->b;
@@ -711,24 +704,23 @@ class GroupAggOp final : public Op<B> {
       val_schema.Add(this->schema_.field(i));
       val_dicts.push_back(nullptr);
     }
-    bool par = this->ctx_->IsPar(node_);
-    int lanes = par ? this->ctx_->num_threads : 1;
+    int lanes = spine_ ? this->ctx_->num_threads : 1;
     hm_.Init(b, key_schema, key_dicts, val_schema, val_dicts, capacity_,
              lanes);
     auto dl = child_->Prepare();
     return [this, dl, ng, key_schema, key_dicts, val_schema,
-            par](const typename Op<B>::Callback& cb) {
+            lanes](const typename Op<B>::Callback& cb) {
       B& b = *this->ctx_->b;
       using I64 = typename B::I64;
       if constexpr (B::kIsStaged) {
         // Seed import for a compiled suffix run: fold the interpreted
         // prefix's partial groups into lane 0 before any morsel is claimed.
-        // Emitted unconditionally for morsel-marked plans but bounded by
-        // SeedRows() — zero without a dispenser, so the normal path skips
-        // it entirely at run time. Runs before the parallel region (dl
-        // spawns it), so the lane-0 updates are race-free, and first-sight
-        // merge-with-init equals the seed value exactly for every AggKind.
-        if (this->ctx_->IsMorsel(node_)) {
+        // Emitted for every spine sink but bounded by SeedRows() — zero
+        // unless a prefix stopped, so the normal path skips it at run time.
+        // Runs before the parallel region (dl spawns it), so the lane-0
+        // updates are race-free, and first-sight merge-with-init equals the
+        // seed value exactly for every AggKind.
+        if (spine_) {
           const int stride = MorselSeedStride(key_schema, key_dicts,
                                               val_schema);
           b.For(I64(0), b.SeedRows(), [&](I64 r) {
@@ -813,7 +805,7 @@ class GroupAggOp final : public Op<B> {
           init.Add(val_schema.field(static_cast<int>(a)),
                    AggInitValue(b, spec, k));
         }
-        I64 lane = par ? b.CurTid() : I64(0);
+        I64 lane = lanes > 1 ? b.CurTid() : I64(0);
         hm_.Update(b, lane, key, init, [&](const Record<B>& cur) {
           Record<B> next;
           for (size_t a = 0; a < node_->aggs.size(); ++a) {
@@ -824,7 +816,7 @@ class GroupAggOp final : public Op<B> {
           return next;
         });
       });
-      if (par) {
+      if (lanes > 1) {
         // Fold per-thread partial aggregates into lane 0 (paper §4.5).
         Record<B> init;
         for (size_t a = 0; a < node_->aggs.size(); ++a) {
@@ -852,9 +844,9 @@ class GroupAggOp final : public Op<B> {
         // boundary: flatten the (merged) lane-0 groups into the handoff
         // buffer and emit NO output — the compiled suffix folds the seed
         // back in and produces the complete result itself.
-        if (this->ctx_->IsMorsel(node_)) {
-          MorselRun* run = this->ctx_->morsels;
-          if (run != nullptr && run->stopped) {
+        if (spine_) {
+          MorselRun* run = b.morsels();
+          if (run->stopped) {
             hm_.ForeachLane(b, I64(0), [&](const Record<B>& krec,
                                            const Record<B>& vrec) {
               for (int i = 0; i < krec.size(); ++i) {
@@ -897,6 +889,7 @@ class GroupAggOp final : public Op<B> {
   const plan::PlanNode* node_;
   OpPtr<B> child_;
   int64_t capacity_;
+  bool spine_;
   LB2HashMap<B> hm_;
 };
 
@@ -904,133 +897,154 @@ template <typename B>
 class ScalarAggOp final : public Op<B> {
  public:
   ScalarAggOp(QueryCtx<B>* ctx, const plan::PlanNode& n, OpPtr<B> child,
-              schema::Schema schema)
+              schema::Schema schema, bool spine)
       : Op<B>(ctx, std::move(schema), DictVec(
                                           static_cast<size_t>(n.aggs.size()),
                                           nullptr)),
-        node_(&n),
-        child_(std::move(child)) {}
+        child_(std::move(child)),
+        spine_(spine),
+        aggs_(n.aggs) {
+    for (int i = 0; i < this->schema_.size(); ++i) {
+      kinds_.push_back(this->schema_.field(i).kind);
+    }
+    // MIN/MAX over an empty input answer 0 (there are no NULLs, and the
+    // Volcano oracle starts every accumulator at 0). A hidden row count
+    // rides along as one more accumulator — lane-merged and seed-exported
+    // like the others — so the init values stay exact merge identities.
+    for (const auto& a : n.aggs) {
+      if (a.kind == plan::AggKind::kMin || a.kind == plan::AggKind::kMax) {
+        aggs_.push_back(plan::CountStar(""));
+        kinds_.push_back(schema::FieldKind::kInt64);
+        break;
+      }
+    }
+  }
 
   typename Op<B>::DataLoop Prepare() override {
     B& b = *this->ctx_->b;
     using I64 = typename B::I64;
-    bool par = this->ctx_->IsPar(node_);
-    int lanes = par ? this->ctx_->num_threads : 1;
-    // One accumulator slot per lane per aggregate; (file-scope) arrays so
-    // parallel workers can update their own lane.
+    int lanes = spine_ ? this->ctx_->num_threads : 1;
+    // One accumulator slot per lane per aggregate; (ctx-resident) arrays so
+    // parallel workers can update their own lane. Lanes sit kLaneStride
+    // slots (one cache line) apart, so workers never share a line.
     i64_acc_.clear();
     f64_acc_.clear();
-    for (int i = 0; i < this->schema_.size(); ++i) {
-      const auto& spec = node_->aggs[static_cast<size_t>(i)];
-      Value<B> init = AggInitValue(b, spec, this->schema_.field(i).kind);
-      if (this->schema_.field(i).kind == schema::FieldKind::kDouble) {
-        auto arr = b.template AllocArr<double>(I64(lanes));
-        b.For(I64(0), I64(lanes),
-              [&](I64 t) { b.ArrSet(arr, t, init.f64()); });
-        f64_acc_.push_back(arr);
+    for (size_t i = 0; i < aggs_.size(); ++i) {
+      Value<B> init = AggInitValue(b, aggs_[i], kinds_[i]);
+      I64 slots(static_cast<int64_t>(lanes) * kLaneStride);
+      if (kinds_[i] == schema::FieldKind::kDouble) {
+        f64_acc_.push_back(b.template AllocArr<double>(slots));
         i64_acc_.push_back({});
       } else {
-        auto arr = b.template AllocArr<int64_t>(I64(lanes));
-        b.For(I64(0), I64(lanes),
-              [&](I64 t) { b.ArrSet(arr, t, init.i64()); });
-        i64_acc_.push_back(arr);
+        i64_acc_.push_back(b.template AllocArr<int64_t>(slots));
         f64_acc_.push_back({});
       }
+      b.For(I64(0), I64(lanes), [&](I64 t) { StoreLane(b, i, t, init); });
     }
     auto dl = child_->Prepare();
     return [this, dl, lanes](const typename Op<B>::Callback& cb) {
       B& b = *this->ctx_->b;
       using I64 = typename B::I64;
+      const int stride = static_cast<int>(aggs_.size());
       if constexpr (B::kIsStaged) {
         // Seed import (see GroupAggOp): merge the interpreted prefix's one
         // exported accumulator row into lane 0. SeedRows() is 0 or 1 here.
-        if (this->ctx_->IsMorsel(node_)) {
-          const int stride = this->schema_.size();
+        if (spine_) {
           b.For(I64(0), b.SeedRows(), [&](I64 r) {
-            for (int i = 0; i < this->schema_.size(); ++i) {
-              const auto& spec = node_->aggs[static_cast<size_t>(i)];
-              schema::FieldKind k = this->schema_.field(i).kind;
+            for (size_t i = 0; i < aggs_.size(); ++i) {
+              int slot = static_cast<int>(i);
               Value<B> sv =
-                  k == schema::FieldKind::kDouble
-                      ? Value<B>::F64(b.BitsF64(b.SeedSlot(r, stride, i)))
-                      : Value<B>::I64(b.SeedSlot(r, stride, i));
+                  kinds_[i] == schema::FieldKind::kDouble
+                      ? Value<B>::F64(b.BitsF64(b.SeedSlot(r, stride, slot)))
+                      : Value<B>::I64(b.SeedSlot(r, stride, slot));
               StoreLane(b, i, I64(0),
-                        AggMerge(b, spec, k, LaneValue(b, i, I64(0)), sv));
+                        AggMerge(b, aggs_[i], kinds_[i],
+                                 LaneValue(b, i, I64(0)), sv));
             }
           });
         }
       }
       dl([&](const Record<B>& rec) {
         I64 lane = lanes > 1 ? b.CurTid() : I64(0);
-        for (int i = 0; i < this->schema_.size(); ++i) {
-          const auto& spec = node_->aggs[static_cast<size_t>(i)];
-          schema::FieldKind k = this->schema_.field(i).kind;
+        for (size_t i = 0; i < aggs_.size(); ++i) {
           Value<B> row_val = Value<B>::I64(I64(0));
-          if (spec.kind != plan::AggKind::kCountStar) {
-            row_val = this->Eval(spec.expr, rec);
+          if (aggs_[i].kind != plan::AggKind::kCountStar) {
+            row_val = this->Eval(aggs_[i].expr, rec);
           }
-          Value<B> next = AggStep(b, spec, k, LaneValue(b, i, lane), row_val);
-          StoreLane(b, i, lane, next);
+          StoreLane(b, i, lane,
+                    AggStep(b, aggs_[i], kinds_[i], LaneValue(b, i, lane),
+                            row_val));
         }
       });
       // Reduce lanes 1..n into lane 0 (no-op when sequential).
       for (int t = 1; t < lanes; ++t) {
-        for (int i = 0; i < this->schema_.size(); ++i) {
-          const auto& spec = node_->aggs[static_cast<size_t>(i)];
-          schema::FieldKind k = this->schema_.field(i).kind;
-          Value<B> merged = AggMerge(b, spec, k, LaneValue(b, i, I64(0)),
-                                     LaneValue(b, i, I64(t)));
-          StoreLane(b, i, I64(0), merged);
+        for (size_t i = 0; i < aggs_.size(); ++i) {
+          StoreLane(b, i, I64(0),
+                    AggMerge(b, aggs_[i], kinds_[i], LaneValue(b, i, I64(0)),
+                             LaneValue(b, i, I64(t))));
         }
       }
       if constexpr (!B::kIsStaged) {
         // Seed export on a stopped prefix: one row of lane-0 accumulators.
         // With zero morsels claimed these are the init values — exact merge
         // identities for every AggKind, so a switch at morsel 0 is correct.
-        if (this->ctx_->IsMorsel(node_)) {
-          MorselRun* run = this->ctx_->morsels;
-          if (run != nullptr && run->stopped) {
-            for (int i = 0; i < this->schema_.size(); ++i) {
-              Value<B> v = LaneValue(b, i, I64(0));
-              if (this->schema_.field(i).kind ==
-                  schema::FieldKind::kDouble) {
-                run->seed.push_back(b.F64Bits(v.f64()));
-              } else {
-                run->seed.push_back(AsI64(b, v));
-              }
-            }
-            run->seed_rows = 1;
-            return;
+        if (spine_ && b.morsels()->stopped) {
+          MorselRun* run = b.morsels();
+          for (size_t i = 0; i < aggs_.size(); ++i) {
+            Value<B> v = LaneValue(b, i, I64(0));
+            run->seed.push_back(kinds_[i] == schema::FieldKind::kDouble
+                                    ? b.F64Bits(v.f64())
+                                    : AsI64(b, v));
           }
+          run->seed_rows = 1;
+          return;
         }
       }
       Record<B> out;
       for (int i = 0; i < this->schema_.size(); ++i) {
-        out.Add(this->schema_.field(i),
-                LaneValue(b, i, typename B::I64(0)));
+        Value<B> v = LaneValue(b, static_cast<size_t>(i), I64(0));
+        plan::AggKind k = aggs_[static_cast<size_t>(i)].kind;
+        if (k == plan::AggKind::kMin || k == plan::AggKind::kMax) {
+          auto empty = AsI64(b, LaneValue(b, aggs_.size() - 1, I64(0))) ==
+                       I64(0);
+          v = kinds_[static_cast<size_t>(i)] == schema::FieldKind::kDouble
+                  ? Value<B>::F64(b.SelF64(empty, typename B::F64(0.0),
+                                           AsF64(b, v)))
+                  : Value<B>::I64(b.SelI64(empty, I64(0), AsI64(b, v)));
+        }
+        out.Add(this->schema_.field(i), v);
       }
       cb(out);
     };
   }
 
  private:
-  Value<B> LaneValue(B& b, int i, typename B::I64 lane) const {
-    if (this->schema_.field(i).kind == schema::FieldKind::kDouble) {
-      return Value<B>::F64(
-          b.ArrGet(f64_acc_[static_cast<size_t>(i)], lane));
+  /// Slots between adjacent lanes of one accumulator: 8 × 8 bytes, one
+  /// cache line, so per-thread updates never contend.
+  static constexpr int64_t kLaneStride = 8;
+
+  Value<B> LaneValue(B& b, size_t i, typename B::I64 lane) const {
+    typename B::I64 slot = lane * typename B::I64(kLaneStride);
+    if (kinds_[i] == schema::FieldKind::kDouble) {
+      return Value<B>::F64(b.ArrGet(f64_acc_[i], slot));
     }
-    return Value<B>::I64(b.ArrGet(i64_acc_[static_cast<size_t>(i)], lane));
+    return Value<B>::I64(b.ArrGet(i64_acc_[i], slot));
   }
-  void StoreLane(B& b, int i, typename B::I64 lane, const Value<B>& v) {
-    if (this->schema_.field(i).kind == schema::FieldKind::kDouble) {
-      b.ArrSet(f64_acc_[static_cast<size_t>(i)], lane, AsF64(b, v));
+  void StoreLane(B& b, size_t i, typename B::I64 lane, const Value<B>& v) {
+    typename B::I64 slot = lane * typename B::I64(kLaneStride);
+    if (kinds_[i] == schema::FieldKind::kDouble) {
+      b.ArrSet(f64_acc_[i], slot, AsF64(b, v));
     } else {
-      b.ArrSet(i64_acc_[static_cast<size_t>(i)], lane, AsI64(b, v));
+      b.ArrSet(i64_acc_[i], slot, AsI64(b, v));
     }
   }
 
-  const plan::PlanNode* node_;
   OpPtr<B> child_;
+  bool spine_;
+  /// The plan's aggregates plus, when any is MIN/MAX, the hidden row count
+  /// (last); kinds_ holds each one's accumulator kind.
+  std::vector<plan::AggSpec> aggs_;
+  std::vector<schema::FieldKind> kinds_;
   std::vector<typename B::template Arr<int64_t>> i64_acc_;
   std::vector<typename B::template Arr<double>> f64_acc_;
 };

@@ -1,100 +1,73 @@
-// Parallel-plan analysis (paper §4.5): which nodes of a plan run inside a
-// pthread parallel region. The spine walks from the root aggregation
-// toward its source scan, following the probe sides of joins: the scan
-// partitions its row range across threads, stateless operators and
-// read-only join probes run unchanged inside workers, and the sink
-// aggregation keeps one hash-table lane per thread which is merged after
-// the region (see hashmap.h / ops.h). Build sides always run sequentially
-// before the region starts.
+// The parallel spine (paper §4.5): the root pipeline's path from its
+// aggregation sink down the probe sides of joins to the source scan. A
+// spine is a plan *occurrence*, not a plan node: BuildOp applies the rule
+// below as it walks the root's probe path, so a subplan shared with a join
+// build side or a scalar subquery (TPC-H Q17, Q22) is claim-driven only
+// where it sits on that path. On the spine the source scan claims morsels
+// from the shared dispenser — on one thread, or on every worker of a
+// pthread region — stateless operators and read-only join probes run
+// unchanged inside workers, and the sink keeps one lane per thread, merged
+// after the loop (see hashmap.h / ops.h). Everything off the spine (build
+// sides, scalar subqueries, the operators above the sink) runs
+// sequentially over its full range.
 #ifndef LB2_ENGINE_PARALLEL_H_
 #define LB2_ENGINE_PARALLEL_H_
-
-#include <set>
 
 #include "plan/plan.h"
 
 namespace lb2::engine {
 
-/// Walks from a pipeline sink toward its source and marks the source Scan
-/// for partitioned execution. Returns false (and marks nothing) when the
-/// source is not a partitionable base scan (e.g. another aggregate).
-inline bool MarkParSpine(const plan::PlanRef& p,
-                         std::set<const plan::PlanNode*>* out) {
-  switch (p->type) {
+/// The child through which the root pipeline continues below `n` (the
+/// probe side of a join), or -1 at the source scan.
+inline int SpineChild(const plan::PlanNode& n) {
+  switch (n.type) {
     case plan::OpType::kScan:
-      out->insert(p.get());
-      return true;
-    case plan::OpType::kSelect:
-    case plan::OpType::kProject:
-      return MarkParSpine(p->children[0], out);
+      return -1;
     case plan::OpType::kHashJoin:
-      // Builds run sequentially before the region; probes are read-only.
-      return MarkParSpine(p->children[1], out);
-    case plan::OpType::kSemiJoin:
-    case plan::OpType::kAntiJoin:
-    case plan::OpType::kLeftCountJoin:
-      return MarkParSpine(p->children[0], out);
+      return 1;  // builds run sequentially before the loop; probes are
+                 // read-only
     default:
-      return false;  // aggregates/sorts cannot source a partitioned loop
+      return 0;
   }
 }
 
-/// Marks the root aggregation and its feeding pipeline for parallel
-/// execution. Only aggregate-rooted pipelines parallelize (their output
-/// loop and everything above runs sequentially on collapsed data).
-inline void AnalyzeParallel(const plan::PlanRef& root,
-                            std::set<const plan::PlanNode*>* out) {
-  const plan::PlanRef* p = &root;
-  while ((*p)->type == plan::OpType::kSort ||
-         (*p)->type == plan::OpType::kLimit ||
-         (*p)->type == plan::OpType::kProject ||
-         (*p)->type == plan::OpType::kSelect) {
-    p = &(*p)->children[0];
+/// True when `root` has a spine: peeling Sort/Limit/Project/Select reaches
+/// an aggregation sink (only aggregates have a merge-safe sink to fold
+/// per-thread lanes or an interpreted prefix into), and its input follows
+/// Select/Project/join-probe edges down to a base Scan. This is the one
+/// spine walker: BuildOp follows SpineChild from the root only when it
+/// returns true, and it is also the precondition for a mid-query
+/// interpreted→compiled switch (MorselEligible).
+inline bool HasSpine(const plan::PlanRef& root) {
+  using plan::OpType;
+  const plan::PlanNode* p = root.get();
+  while (p->type == OpType::kSort || p->type == OpType::kLimit ||
+         p->type == OpType::kProject || p->type == OpType::kSelect) {
+    p = p->children[0].get();
   }
-  if ((*p)->type == plan::OpType::kGroupAgg ||
-      (*p)->type == plan::OpType::kScalarAgg) {
-    std::set<const plan::PlanNode*> marks;
-    if (MarkParSpine((*p)->children[0], &marks)) {
-      marks.insert(p->get());
-      out->insert(marks.begin(), marks.end());
+  if (p->type != OpType::kGroupAgg && p->type != OpType::kScalarAgg) {
+    return false;
+  }
+  for (p = p->children[0].get(); p->type != OpType::kScan;
+       p = p->children[static_cast<size_t>(SpineChild(*p))].get()) {
+    switch (p->type) {
+      case OpType::kSelect:
+      case OpType::kProject:
+      case OpType::kHashJoin:
+      case OpType::kSemiJoin:
+      case OpType::kAntiJoin:
+      case OpType::kLeftCountJoin:
+        break;
+      default:
+        return false;  // aggregates/sorts cannot source a claim loop
     }
   }
-}
-
-/// Marks the nodes of `q`'s main pipeline that run morsel-driven: the same
-/// aggregate-rooted spine AnalyzeParallel accepts, but independent of the
-/// thread count — a sequential compiled suffix must still pull from the
-/// shared dispenser to finish what an interpreted prefix started. Plans
-/// with scalar subqueries are skipped (their sinks share spine nodes and
-/// are not seed-exportable), as are non-aggregate roots (no merge-safe
-/// sink to fold an interpreted prefix's partial state into).
-inline void AnalyzeMorsel(const plan::Query& q,
-                          std::set<const plan::PlanNode*>* out) {
-  if (!q.scalar_subqueries.empty()) return;
-  const plan::PlanRef* p = &q.root;
-  while ((*p)->type == plan::OpType::kSort ||
-         (*p)->type == plan::OpType::kLimit ||
-         (*p)->type == plan::OpType::kProject ||
-         (*p)->type == plan::OpType::kSelect) {
-    p = &(*p)->children[0];
-  }
-  if ((*p)->type == plan::OpType::kGroupAgg ||
-      (*p)->type == plan::OpType::kScalarAgg) {
-    std::set<const plan::PlanNode*> marks;
-    if (MarkParSpine((*p)->children[0], &marks)) {
-      marks.insert(p->get());
-      out->insert(marks.begin(), marks.end());
-    }
-  }
+  return true;
 }
 
 /// True when `q` can run morsel-driven end to end — the precondition for a
 /// mid-query interpreted→compiled switch.
-inline bool MorselEligible(const plan::Query& q) {
-  std::set<const plan::PlanNode*> marks;
-  AnalyzeMorsel(q, &marks);
-  return !marks.empty();
-}
+inline bool MorselEligible(const plan::Query& q) { return HasSpine(q.root); }
 
 }  // namespace lb2::engine
 

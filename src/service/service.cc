@@ -314,18 +314,7 @@ ServiceResult QueryService::RunCompiled(const CacheEntryPtr& entry,
   // No run lock: entries are reentrant (each Run() builds a private
   // execution context), so same-entry executions overlap freely.
   int64_t t0 = spans != nullptr ? NowNs() : 0;
-  compile::CompiledQuery::RunResult rr;
-  if (opts_.morsel_rows > 0) {
-    // Work stealing for every compiled run: a fresh dispenser (no seed, no
-    // claim counters) makes the generated parallel region pull morsels
-    // instead of trusting its static split, so one slow core cannot strand
-    // a skewed range. Plans whose pipelines the morsel analysis left
-    // unmarked ignore the pointer entirely.
-    engine::MorselRun run(opts_.morsel_rows);
-    rr = entry->query.Run(params, &run.source);
-  } else {
-    rr = entry->query.Run(params);
-  }
+  compile::CompiledQuery::RunResult rr = RunEntry(*entry, params);
   if (spans != nullptr) spans->push_back({"exec", t0, NowNs()});
   ServiceResult r;
   if (!rr.prof.empty() && opts_.metrics) {
@@ -345,6 +334,14 @@ ServiceResult QueryService::RunCompiled(const CacheEntryPtr& entry,
   r.compile_ms = entry->codegen_ms + entry->compile_ms;
   r.fingerprint = fp;
   return r;
+}
+
+compile::CompiledQuery::RunResult QueryService::RunEntry(
+    const CacheEntry& entry, const plan::ParamVec* params) const {
+  // A fresh dispenser (no seed, no claim counters) per run: the spine's
+  // workers steal morsels, so one slow core cannot strand a skewed range.
+  engine::MorselRun run(opts_.morsel_rows);
+  return entry.query.Run(params, &run.source);
 }
 
 ServiceResult QueryService::RunInterp(const plan::Query& q,
@@ -1214,11 +1211,12 @@ QueryService::ExploreOutcome QueryService::ExploreShape(
     }
     stats_.explore_candidates.fetch_add(1, std::memory_order_relaxed);
     // One warm-up run, then best-of-3 over the generated code's own timed
-    // region: the explorer prices steady state, not first touch.
-    (void)entry->query.Run(params);
+    // region, on the run path the service serves: the explorer prices
+    // steady state, not first touch.
+    (void)RunEntry(*entry, params);
     double ms = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
-      double m = entry->query.Run(params).exec_ms;
+      double m = RunEntry(*entry, params).exec_ms;
       if (rep == 0 || m < ms) ms = m;
     }
     out.report += StrPrintf("  %-12s %10.3f ms\n", spec.c_str(), ms);

@@ -126,8 +126,7 @@ bool DefaultExploreEnabled();
 int DefaultProfSampleEvery();
 
 /// Default morsel size in rows: LB2_MORSEL_ROWS env var, else
-/// engine::kDefaultMorselRows (0 disables the shared dispenser — pipelines
-/// fall back to their static per-thread splits).
+/// engine::kDefaultMorselRows (0 = one morsel per thread).
 int64_t DefaultMorselRows();
 
 /// Default for ServiceOptions::midquery_switch: LB2_MIDQUERY_SWITCH env var
@@ -224,11 +223,11 @@ struct ServiceOptions {
   /// price of one extra artifact per shape and a sampled profiled run.
   /// Profiled runs are sequential (EngineOptions::profile contract).
   int prof_sample_every = DefaultProfSampleEvery();
-  /// Morsel size in rows for morsel-driven pipelines. When > 0, every
-  /// compiled execution of a morsel-eligible plan pulls fixed-size row
-  /// ranges from a shared atomic dispenser instead of a static per-thread
-  /// split — work stealing across threads for free — and the mid-query
-  /// switch below becomes possible. 0 restores static splits everywhere.
+  /// Morsel size in rows for the spine's claim loop: every compiled
+  /// execution pulls row ranges from a fresh shared atomic dispenser —
+  /// work stealing across threads for free. When > 0 the mid-query switch
+  /// below becomes possible; 0 means one morsel per thread (the static
+  /// split, expressed as a dispenser on the same loop).
   int64_t morsel_rows = DefaultMorselRows();
   /// Mid-query interpreted→compiled switch: a cold leader starts its
   /// request on the interpreter immediately, pulling morsels from the
@@ -506,6 +505,10 @@ class QueryService {
                             ServiceResult::Path path, const Fingerprint& fp,
                             const plan::ParamVec* params,
                             obs::SpanList* spans);
+  /// Runs a compiled entry off a fresh dispenser of morsel_rows — the one
+  /// run path for served requests and explorer timings alike.
+  compile::CompiledQuery::RunResult RunEntry(
+      const CacheEntry& entry, const plan::ParamVec* params) const;
   ServiceResult RunInterp(const plan::Query& q,
                           const engine::EngineOptions& eopts,
                           const Fingerprint& fp,

@@ -39,8 +39,8 @@ std::string CModule::Emit() const {
   // exported lb2_ctx_bytes — so hosts can size a context without knowing
   // the fields. `params` carries the literals bound at Run() for
   // parameterized plans (unused, and left null, for modules staged without
-  // parameter references); `morsels` points at the shared morsel dispenser
-  // when the run is morsel-driven, null for the static range split.
+  // parameter references); `morsels` points at the morsel dispenser the
+  // spine claims from (never null).
   out += "typedef struct {\n";
   out += "  void** env;\n";
   out += "  lb2_out* out;\n";

@@ -49,17 +49,17 @@ typedef struct {
   int64_t tid;
 } lb2_thread_arg;
 
-/* Shared morsel dispenser for morsel-driven pipelines. When non-null in the
-   execution context, driver loops claim fixed-size row ranges (morsels) via
-   an atomic fetch-add on `next` instead of splitting the scan statically per
-   thread — idle workers steal the next morsel, and an interpreted prefix and
-   a compiled suffix of the same query can drain one dispenser across a
-   mid-query switch. `seed` optionally carries partial aggregate state
-   exported by an interpreted prefix (seed_rows flat i64 rows; doubles as bit
-   patterns, strings as (ptr,len) slot pairs into host-owned storage), folded
-   in before the fill loop. `claims`, when non-null, counts executions per
-   morsel so tests can assert exactly-once claiming. The host mirror is
-   stage::MorselSource; layouts must match. */
+/* Shared morsel dispenser, always present in the execution context: the
+   spine's driver loop claims row ranges (morsels) via an atomic fetch-add
+   on `next` — idle workers steal the next morsel, and an interpreted prefix
+   and a compiled suffix of the same query can drain one dispenser across a
+   mid-query switch. morsel_rows <= 0 means one morsel per thread. `seed`
+   optionally carries partial aggregate state exported by an interpreted
+   prefix (seed_rows flat i64 rows; doubles as bit patterns, strings as
+   (ptr,len) slot pairs into host-owned storage), folded in before the fill
+   loop. `claims`, when non-null, counts executions per morsel so tests can
+   assert exactly-once claiming. The host mirror is stage::MorselSource;
+   layouts must match. */
 typedef struct {
   volatile long long next;
   long long morsel_rows;
@@ -93,18 +93,21 @@ static void lb2_out_i64(lb2_out* o, int64_t v) {
   lb2_out_str(o, buf, n);
 }
 
+/* The buffers below hold the longest text each format can produce, and
+   the length is taken from the buffer, not from snprintf's return value (the
+   length the text *would* have had): a short buffer truncates, it never
+   copies bytes past its end. */
 static void lb2_out_f64(lb2_out* o, double v) {
-  char buf[64];
-  int n = snprintf(buf, sizeof(buf), "%.4f", v);
-  lb2_out_str(o, buf, n);
+  char buf[320]; /* sign + 309 digits of DBL_MAX + ".dddd" + NUL */
+  snprintf(buf, sizeof(buf), "%.4f", v);
+  lb2_out_cstr(o, buf);
 }
 
 static void lb2_out_date(lb2_out* o, int64_t yyyymmdd) {
-  char buf[16];
-  int n = snprintf(buf, sizeof(buf), "%04d-%02d-%02d",
-                   (int)(yyyymmdd / 10000), (int)((yyyymmdd / 100) % 100),
-                   (int)(yyyymmdd % 100));
-  lb2_out_str(o, buf, n);
+  char buf[40]; /* three %d fields of up to 11 characters each */
+  snprintf(buf, sizeof(buf), "%04d-%02d-%02d", (int)(yyyymmdd / 10000),
+           (int)((yyyymmdd / 100) % 100), (int)(yyyymmdd % 100));
+  lb2_out_cstr(o, buf);
 }
 
 static void lb2_out_char(lb2_out* o, char c) { lb2_out_str(o, &c, 1); }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "compile/lb2_compiler.h"
+#include "compile/template_compiler.h"
 #include "engine/exec.h"
 #include "plan/plan.h"
 #include "tpch/answers.h"
@@ -180,6 +181,38 @@ TEST_F(EngineTest, ScalarSubquery) {
               Filter(Scan("part"), Gt(Col("p_retailprice"), ScalarRef(0))),
               {CountStar("n")})};
   CheckAgreement(q);
+}
+
+TEST_F(EngineTest, ScalarMinMaxOverEmptyInputAnswerZero) {
+  // No NULLs: like the Volcano oracle, MIN/MAX over no rows answer 0, on
+  // every engine and at any thread count — not the accumulators' init
+  // values (which must stay merge identities for per-thread lanes).
+  Query q{{}, ScalarAggPlan(Filter(Scan("lineitem"),
+                                   Lt(Col("l_quantity"), D(0.0))),
+                            {Min(Col("l_quantity"), "mnq"),
+                             Max(Col("l_extendedprice"), "mxp"),
+                             Min(Col("l_orderkey"), "mnk"),
+                             Max(Col("l_shipdate"), "mxd"), CountStar("n")})};
+  std::string oracle = volcano::Execute(q, *db_);
+  EXPECT_EQ(oracle, "0.0000|0.0000|0|0000-00-00|0\n");
+  CheckAgreement(q, {}, "emptyminmax");
+  engine::EngineOptions par;
+  par.num_threads = 4;
+  CheckAgreement(q, par, "emptyminmax4");
+  EXPECT_EQ(compile::CompileTemplateQuery(q, *db_, "temptyminmax").Run().text,
+            oracle);
+}
+
+TEST_F(EngineTest, ExtremeDoublesPrintInFull) {
+  // "%.4f" of ±1e300 is a 306-character field: generated code must print
+  // every digit (and the rest of the row), as the oracle does.
+  Query q{{}, Project(Scan("region"), {"big", "neg", "key"},
+                      {D(1e300), D(-1e300), Col("r_regionkey")})};
+  std::string oracle = volcano::Execute(q, *db_);
+  ASSERT_GT(oracle.size(), 5u * 2u * 300u);  // 5 regions × two wide fields
+  CheckAgreement(q, {}, "extremes");
+  EXPECT_EQ(compile::CompileTemplateQuery(q, *db_, "textremes").Run().text,
+            oracle);
 }
 
 TEST_F(EngineTest, StringPredicates) {

@@ -5,7 +5,9 @@
 //    interpreted prefix to stop at morsel boundary k; the compiled build
 //    of the same fingerprint finishes the remaining morsels off the SAME
 //    dispenser. Every boundary 0..N of a Q1-style (group-by over filtered
-//    lineitem) and a Q6-style (scalar aggregate) shape must produce
+//    lineitem), a Q6-style (scalar aggregate), a Q17-style (subplan shared
+//    by a build and the probe side), a Q22-style (scalar subquery sharing
+//    the spine's scan) and an empty-input MIN/MAX shape must produce
 //    byte-identical results vs the Volcano and pure-interpreted oracles,
 //    across {1,4,8} threads × {dc, vec, blended} flavors.
 //  * Claims exactly-once: with MorselRun::EnableClaims armed, 64 seeded
@@ -17,6 +19,9 @@
 //    only on ≥4 hardware threads and outside TSan (timing under the
 //    sanitizer or on a single core proves nothing); correctness and the
 //    exactly-once claim ledger are asserted unconditionally.
+//  * Served differential: all 22 TPC-H queries through
+//    QueryService::Execute, cold then cached, at 1 and 4 threads, and the
+//    interpreter over a dispenser, each diffed against Volcano.
 //
 // Carries the ctest label `morsel`; the CI `morsel` lane runs it under
 // ThreadSanitizer together with the fuzz suites.
@@ -38,6 +43,7 @@
 #include "testing/faults.h"
 #include "tpch/answers.h"
 #include "tpch/dbgen.h"
+#include "tpch/queries.h"
 #include "volcano/volcano.h"
 
 #if defined(__SANITIZE_THREAD__)
@@ -131,6 +137,53 @@ plan::Query Q6Shape() {
                               Lt(Col("l_quantity"), D(24.0))})),
                   {Sum(Mul(Col("l_extendedprice"), Col("l_discount")), "rev"),
                    CountStar("n")})};
+}
+
+/// Q17-style: one subplan (part ⋈ lineitem) feeds both the build side of
+/// the main join (through a per-part average) and its probe side. Only the
+/// probe occurrence is on the spine; the build must scan its full range.
+plan::Query Q17Shape() {
+  using namespace plan;  // NOLINT
+  PlanRef base = Join(Filter(Scan("part"), Lt(Col("p_size"), I(10))),
+                      Scan("lineitem"), {"p_partkey"}, {"l_partkey"});
+  PlanRef avg = Project(
+      GroupBy(base, {"a_partkey"}, {Col("p_partkey")},
+              {Sum(Col("l_quantity"), "sq"), CountStar("cnt")}),
+      {"a_partkey", "qty_limit"},
+      {Col("a_partkey"), Div(Col("sq"), Col("cnt"))});
+  return {{}, ScalarAggPlan(Join(avg, base, {"a_partkey"}, {"p_partkey"},
+                                 Lt(Col("l_quantity"), Col("qty_limit"))),
+                            {Sum(Col("l_extendedprice"), "total"),
+                             CountStar("n")})};
+}
+
+/// Q22-style: a scalar subquery over the same filtered scan the main
+/// pipeline's spine claims from. The subquery runs first, off the spine.
+plan::Query Q22Shape() {
+  using namespace plan;  // NOLINT
+  PlanRef li = Filter(Scan("lineitem"),
+                      Le(Col("l_shipdate"), Dt("1998-09-02")));
+  PlanRef avg = Project(
+      ScalarAggPlan(li, {Sum(Col("l_quantity"), "s"), CountStar("n")}),
+      {"avg_qty"}, {Div(Col("s"), Col("n"))});
+  return {{avg},
+          OrderBy(GroupBy(Filter(li, Gt(Col("l_quantity"), ScalarRef(0))),
+                          {"f"}, {Col("l_returnflag")},
+                          {CountStar("n"), Sum(Col("l_extendedprice"), "se")}),
+                  {{"f", true}})};
+}
+
+/// Scalar MIN/MAX over an empty input (no row passes the filter): every
+/// engine must answer 0 like the Volcano oracle, at every switch point.
+plan::Query EmptyMinMaxShape() {
+  using namespace plan;  // NOLINT
+  return {{}, ScalarAggPlan(Filter(Scan("lineitem"),
+                                   Lt(Col("l_quantity"), D(0.0))),
+                            {Min(Col("l_quantity"), "mnq"),
+                             Max(Col("l_extendedprice"), "mxp"),
+                             Min(Col("l_orderkey"), "mnk"),
+                             Max(Col("l_shipdate"), "mxd"),
+                             Sum(Col("l_discount"), "sd"), CountStar("n")})};
 }
 
 // -- Switch-point differential matrix -----------------------------------------
@@ -239,6 +292,49 @@ TEST_F(MorselTest, ForcedSwitchAtEveryBoundaryMatchesOraclesQ6Style) {
   }
   std::string cmd = "rm -rf " + dir;
   ASSERT_EQ(system(cmd.c_str()), 0);
+}
+
+/// The full switch-point matrix for one shape: {1,4,8} threads × every
+/// flavor, each swept over every morsel boundary.
+void SweepMatrix(const plan::Query& q, rt::Database* db) {
+  std::string oracle = volcano::Execute(q, *db);
+  bool ordered = tpch::OrderSensitive(q);
+  EXPECT_EQ(tpch::DiffResults(oracle, engine::ExecuteInterp(q, *db).text,
+                              ordered),
+            "");
+  std::string dir = MakeTempDir();
+  for (int threads : {1, 4, 8}) {
+    for (const FlavorCase& fl : kFlavors) {
+      SCOPED_TRACE(std::string("threads ") + std::to_string(threads) +
+                   " flavor " + fl.tag);
+      int switches =
+          SweepSwitchPoints(q, db, oracle, ordered, threads, fl, dir);
+      if (::testing::Test::HasFailure()) break;
+      EXPECT_GE(switches, 3) << "too few boundaries: shrink kMorselRows";
+    }
+  }
+  std::string cmd = "rm -rf " + dir;
+  ASSERT_EQ(system(cmd.c_str()), 0);
+}
+
+TEST_F(MorselTest, ForcedSwitchAtEveryBoundaryMatchesOraclesQ17Style) {
+  plan::Query q = Q17Shape();
+  ASSERT_TRUE(engine::MorselEligible(q));
+  ASSERT_NE(volcano::Execute(q, *db_), "0.0000|0\n");
+  SweepMatrix(q, db_);
+}
+
+TEST_F(MorselTest, ForcedSwitchAtEveryBoundaryMatchesOraclesQ22Style) {
+  plan::Query q = Q22Shape();
+  ASSERT_TRUE(engine::MorselEligible(q));
+  SweepMatrix(q, db_);
+}
+
+TEST_F(MorselTest, ForcedSwitchAtEveryBoundaryMatchesOraclesEmptyMinMax) {
+  plan::Query q = EmptyMinMaxShape();
+  ASSERT_EQ(volcano::Execute(q, *db_),
+            "0.0000|0.0000|0|0000-00-00|0.0000|0\n");
+  SweepMatrix(q, db_);
 }
 
 // -- Live-mode paths ----------------------------------------------------------
@@ -426,7 +522,8 @@ TEST_F(MorselTest, WorkStealingBeatsStaticSplitOnSkewedCosts) {
           << "morsel " << i;
     }
   }
-  // The very same artifact with a null dispenser: classic static split.
+  // The very same artifact on its private dispenser: one morsel per
+  // thread, the static split.
   ASSERT_EQ(tpch::DiffResults(oracle, cq.Run().text, false), "");
 
   double static_ms = 1e300, steal_ms = 1e300;
@@ -474,6 +571,50 @@ TEST_F(MorselTest, WarmCompiledRequestsRunOffTheDispenser) {
     EXPECT_EQ(warm.path, ServiceResult::Path::kCompiledCached);
     EXPECT_EQ(tpch::DiffResults(oracle, warm.text, ordered), "")
         << "warm, morsel_rows=" << morsel_rows;
+  }
+}
+
+// -- Served-path differential -------------------------------------------------
+
+TEST(ServedTpchTest, AllQueriesMatchVolcanoColdAndCachedAt1And4Threads) {
+  // Every TPC-H query through QueryService::Execute — the run path served
+  // requests take, off a fresh dispenser per run — cold (a fresh compile)
+  // and then cached, at 1 and 4 threads, plus the interpreter over a
+  // dispenser. SF 0.01 is the smallest scale at which Q17's answer is not
+  // 0 for this seed, so a spine that exhausts the dispenser on a build
+  // side shows as a wrong number.
+  rt::Database db;
+  tpch::Generate(0.01, 5150, &db);
+  ServiceOptions sopts;
+  sopts.cache_dir = "";
+  sopts.morsel_rows = 4096;
+  QueryService svc(db, sopts);
+  tpch::QueryOptions qo;
+  qo.scale_factor = 0.01;
+  for (int qn = 1; qn <= tpch::NumQueries(); ++qn) {
+    SCOPED_TRACE("Q" + std::to_string(qn));
+    plan::Query q = tpch::BuildQuery(qn, qo);
+    std::string oracle = volcano::Execute(q, db);
+    bool ordered = tpch::OrderSensitive(q);
+    engine::MorselRun run(sopts.morsel_rows);
+    EXPECT_EQ(tpch::DiffResults(
+                  oracle,
+                  engine::ExecuteInterp(q, db, {}, nullptr, &run).text,
+                  ordered),
+              "")
+        << "interpreted over a dispenser";
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      engine::EngineOptions eopts;
+      eopts.num_threads = threads;
+      ServiceResult cold = svc.Execute(q, eopts);
+      EXPECT_EQ(cold.path, ServiceResult::Path::kCompiledCold);
+      EXPECT_EQ(tpch::DiffResults(oracle, cold.text, ordered), "") << "cold";
+      ServiceResult cached = svc.Execute(q, eopts);
+      EXPECT_EQ(cached.path, ServiceResult::Path::kCompiledCached);
+      EXPECT_EQ(tpch::DiffResults(oracle, cached.text, ordered), "")
+          << "cached";
+    }
   }
 }
 
